@@ -1,21 +1,26 @@
-"""S2 — execution backends: throughput and peak memory per strategy.
+"""S2 — batch-path costs: throughput and peak memory per execution shape.
 
 The session layer promises backend-independent *results*; this benchmark
-records the backend-dependent *costs*: packets/second per backend and the
-peak working set of full-materialization vs streaming reconstruction.  The
+records the *costs* of the batch path: packets/second of full-materialization
+vs streaming reconstruction, and the peak working set of each.  The
 streaming row demonstrates the bounded-batch path end to end: groups are
 materialized at most ``batch_size`` at a time (asserted), at the price of
 re-scanning the corpus once per key window.
+
+Wall time and memory come from separate passes: ``tracemalloc`` slows the
+reconstruction loop several-fold, so throughput is the median of untraced
+runs and ``py_peak_mb`` comes from one extra traced run.
 """
 
 import json
 import pathlib
 import resource
+import statistics
 import time
 import tracemalloc
 
 from repro.analysis.pipeline import default_loss_spec, run_simulation
-from repro.core.backends import ProcessPoolBackend, SerialBackend
+from repro.core.backends import SerialBackend
 from repro.core.session import ReconstructionSession
 from repro.events.merge import iter_packet_groups
 from repro.lognet.collector import collect_logs
@@ -25,6 +30,9 @@ from repro.util.tables import render_table
 from benchmarks.conftest import BENCH_SCHEMA, bench_seed, run_metadata
 
 BASELINE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_backends.json"
+
+#: Untraced timing runs per row; the median is recorded.
+REPEATS = 3
 
 
 def prepare(n_nodes=120, days=1, seed=None):
@@ -42,14 +50,21 @@ def prepare(n_nodes=120, days=1, seed=None):
 
 
 def timed(fn):
-    """(result, wall seconds, python peak bytes) for one call."""
-    tracemalloc.start()
+    """(result, wall seconds) for one untraced call."""
     start = time.perf_counter()
     result = fn()
-    elapsed = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, elapsed, peak
+    return result, time.perf_counter() - start
+
+
+def traced_peak(fn):
+    """Python peak bytes of one call under ``tracemalloc`` (never timed)."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_backend_throughput(emit):
@@ -57,9 +72,6 @@ def test_backend_throughput(emit):
     runs = {
         "serial": lambda: ReconstructionSession(
             backend=SerialBackend()
-        ).reconstruct(logs),
-        "process(2)": lambda: ReconstructionSession(
-            backend=ProcessPoolBackend(workers=2, min_packets=1), batch_size=100
         ).reconstruct(logs),
         "serial+stream": lambda: ReconstructionSession(
             backend=SerialBackend(), stream=True, batch_size=64
@@ -69,7 +81,12 @@ def test_backend_throughput(emit):
     baseline = None
     measured: dict[str, dict] = {}
     for name, fn in runs.items():
-        flows, elapsed, peak = timed(fn)
+        times = []
+        for _ in range(REPEATS):
+            flows, elapsed = timed(fn)
+            times.append(elapsed)
+        elapsed = statistics.median(times)
+        peak = traced_peak(fn)
         if baseline is None:
             baseline = {p: f.labels() for p, f in flows.items()}
         else:  # cost table only makes sense over identical work
@@ -79,6 +96,8 @@ def test_backend_throughput(emit):
             "seconds": round(elapsed, 4),
             "packets_per_s": round(len(flows) / elapsed, 1),
             "py_peak_mb": round(peak / 1e6, 2),
+            "repeats": REPEATS,
+            "spread_s": round(max(times) - min(times), 4),
         }
         rows.append(
             (
@@ -142,8 +161,9 @@ def test_streaming_peak_memory_below_full_grouping(emit):
             count += len(batch)
         return count
 
-    n_full, t_full, peak_full = timed(full)
-    n_stream, t_stream, peak_stream = timed(streamed)
+    n_full, t_full = timed(full)
+    n_stream, t_stream = timed(streamed)
+    peak_full, peak_stream = traced_peak(full), traced_peak(streamed)
     assert n_full == n_stream
     table = render_table(
         ["grouping", "packets", "wall_s", "py_peak_MB"],

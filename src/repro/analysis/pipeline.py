@@ -95,7 +95,7 @@ def evaluate(
 
     ``backend`` selects the execution strategy for the reconstruction
     session — an :class:`~repro.core.backends.ExecutionBackend` instance or
-    a registry name (``"serial"`` | ``"process"`` | ``"incremental"``);
+    a registry name (``"serial"`` | ``"incremental"``);
     the default is serial.  Results are backend-independent by contract.
 
     ``template`` overrides the inference model (default: the hand-written

@@ -74,6 +74,18 @@ from repro.simnet.scenarios import citysee, run_scenario
 log = get_logger("refill.cli")
 
 
+def _positive_int(text: str) -> int:
+    """``argparse`` type for count flags: ``0`` or a negative is a usage
+    error (exit 2), not a traceback from deep inside the run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = citysee(n_nodes=args.nodes, days=args.days, seed=args.seed)
     log.info("simulate.start", nodes=args.nodes, days=args.days, seed=args.seed)
@@ -236,13 +248,8 @@ def _analyze_template(args: argparse.Namespace):
 
     The inference session drives a single template, so the spec must be
     uniform-role (the built-in ``ctp`` default and every learned spec are).
-    The default spec resolves to ``template=None`` so the session keeps its
-    module-level factory — required by ``--backend process``, which pickles
-    the factory by reference into workers.
     """
     spec = load_spec(args.spec)
-    if args.spec == "ctp":
-        return spec, None
     if len(spec.roles) != 1:
         raise ValueError(
             f"spec {args.spec!r} has {len(spec.roles)} roles; "
@@ -278,7 +285,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     sharded,
                     template=template,
                     backend_name=args.backend,
-                    workers=args.workers,
                     batch_size=args.batch_size,
                     stream=True,
                 )
@@ -304,7 +310,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     loaded,
                     template=template,
                     backend_name=args.backend,
-                    workers=args.workers,
                     batch_size=args.batch_size,
                 )
                 corrupt_lines = loaded.corrupt_lines
@@ -348,7 +353,6 @@ def _diagnose_store(
     *,
     template=None,
     backend_name: str = "serial",
-    workers: Optional[int] = None,
     batch_size: int = 256,
     stream: bool = False,
 ):
@@ -358,8 +362,8 @@ def _diagnose_store(
     is the only variable.  ``store`` is a
     :class:`~repro.events.store.LoadedStore` (in-memory) or a
     :class:`~repro.events.store.ShardedStore` (shard-at-a-time).
-    ``template`` overrides the inference model (``analyze --spec``);
-    ``None`` keeps the hand-written CTP forwarder default.
+    ``template`` is the inference model (``analyze --spec``);
+    ``None`` means the hand-written CTP forwarder.
     """
     meta = store.metadata
     bs = meta.base_station
@@ -371,7 +375,7 @@ def _diagnose_store(
         bs_log = store.logs.get(bs, NodeLog(bs))
     session = ReconstructionSession(
         template,
-        backend=make_backend(backend_name, workers=workers),
+        backend=make_backend(backend_name),
         delivery_node=bs,
         batch_size=batch_size,
         stream=stream,
@@ -707,11 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for reconstruction (default: serial)",
     )
     p_an.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --backend process (default: cpu count)",
-    )
-    p_an.add_argument(
-        "--batch-size", type=int, default=256, metavar="K",
+        "--batch-size", type=_positive_int, default=256, metavar="K",
         help="packet groups per submitted batch (default: 256)",
     )
     p_an.add_argument(
@@ -796,15 +796,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle gap after which dirty flows are refreshed",
     )
     p_srv.add_argument(
-        "--batch-size", type=int, default=256, metavar="K",
+        "--batch-size", type=_positive_int, default=256, metavar="K",
         help="session batch size (as in refill analyze)",
     )
     p_srv.add_argument(
-        "--queue-batches", type=int, default=64, metavar="N",
+        "--queue-batches", type=_positive_int, default=64, metavar="N",
         help="bounded ingest queue depth; a full queue throttles producers",
     )
     p_srv.add_argument(
-        "--batch-lines", type=int, default=512, metavar="N",
+        "--batch-lines", type=_positive_int, default=512, metavar="N",
         help="max lines per queued ingest batch",
     )
     p_srv.add_argument(
@@ -825,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
              "listeners with --shards > 1)",
     )
     p_srv.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=_positive_int, default=1, metavar="N",
         help="shard workers: 1 = single-process daemon (default); N > 1 = "
              "router + N subprocess workers partitioned by packet key, "
              "byte-identical output either way",
@@ -840,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump the flight recorder as JSON Lines on graceful shutdown",
     )
     p_srv.add_argument(
-        "--trace-capacity", type=int, default=1024, metavar="N",
+        "--trace-capacity", type=_positive_int, default=1024, metavar="N",
         help="flight-recorder ring size (recent spans/events retained)",
     )
     p_srv.set_defaults(fn=_cmd_serve)
@@ -861,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prepended to each shard's source name (disambiguates stores)",
     )
     p_push.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="push up to N sources concurrently (per-source ordering is "
              "preserved per connection, so results are identical)",
     )

@@ -16,13 +16,9 @@ from repro.core.backends import (
     ExecutionBackend,
     ExecutionPlan,
     IncrementalBackend,
-    ProcessPoolBackend,
     SerialBackend,
     make_backend,
 )
-from repro.core.refill import Refill
-from repro.core.parallel import ParallelRefill
-from repro.core.incremental import IncrementalRefill
 from repro.core.diagnosis import LossCause, LossReport, classify_flow
 from repro.core.tracing import PacketTrace, trace_packet
 from repro.core.queries import (
@@ -66,12 +62,8 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionPlan",
     "SerialBackend",
-    "ProcessPoolBackend",
     "IncrementalBackend",
     "make_backend",
-    "Refill",
-    "ParallelRefill",
-    "IncrementalRefill",
     "RefillOptions",
     "LossCause",
     "LossReport",

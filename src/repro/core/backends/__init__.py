@@ -1,50 +1,33 @@
 """Pluggable execution backends for :class:`~repro.core.session.ReconstructionSession`.
 
-One reconstruction pipeline, three execution shapes:
+One reconstruction pipeline, two execution shapes:
 
 - :class:`SerialBackend` — in-process, the reference semantics;
-- :class:`ProcessPoolBackend` — sharded over a worker pool, lazy startup;
 - :class:`IncrementalBackend` — stateful accumulation for live ingest.
 
 ``make_backend(name)`` resolves the CLI spelling.  To write a custom
 backend, subclass :class:`ExecutionBackend` — see ``docs/ARCHITECTURE.md``.
 """
 
-from repro.core.backends.base import (
-    ExecutionBackend,
-    ExecutionPlan,
-    TemplateFactory,
-)
+from repro.core.backends.base import ExecutionBackend, ExecutionPlan
 from repro.core.backends.incremental import IncrementalBackend
-from repro.core.backends.process import ProcessPoolBackend
 from repro.core.backends.serial import SerialBackend
 
 #: CLI / config spelling → constructor.
 BACKENDS = {
     SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     IncrementalBackend.name: IncrementalBackend,
 }
 
 
-def make_backend(
-    name: str,
-    *,
-    workers: "int | None" = None,
-    min_packets: "int | None" = None,
-) -> ExecutionBackend:
-    """Build a backend from its registry name (``serial`` | ``process`` |
-    ``incremental``); ``workers``/``min_packets`` apply to ``process``."""
+def make_backend(name: str) -> ExecutionBackend:
+    """Build a backend from its registry name (``serial`` | ``incremental``)."""
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
-    if cls is ProcessPoolBackend:
-        if min_packets is None:
-            return ProcessPoolBackend(workers=workers)
-        return ProcessPoolBackend(workers=workers, min_packets=min_packets)
     return cls()
 
 
@@ -53,8 +36,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionPlan",
     "IncrementalBackend",
-    "ProcessPoolBackend",
     "SerialBackend",
-    "TemplateFactory",
     "make_backend",
 ]

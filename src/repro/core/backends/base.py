@@ -2,7 +2,7 @@
 
 Per-packet independence (paper §IV–V) means *how* packet groups get turned
 into event flows is a deployment choice, not an algorithmic one: in one
-process, across a worker pool, or statefully as evidence trickles in from a
+pass over complete groups, or statefully as evidence trickles in from a
 live collection.  :class:`ExecutionBackend` is that seam.  The session owns
 everything above it — streaming merge, option normalization (including
 ``strip_times``), diagnosis, metrics — and hands each backend fully
@@ -14,10 +14,10 @@ Lifecycle::
     backend.start(plan)          # once; plan = template + options
     backend.submit(batch)        # any number of times; may yield flows
     backend.finish()             # flush; yields remaining flows; reusable
-    backend.close()              # release pools/state
+    backend.close()              # release accumulated state
 
 ``submit`` and ``finish`` yield ``(packet, flow)`` pairs; a backend is free
-to defer work (pool dispatch, dirty-set accumulation) and emit flows later.
+to defer work (dirty-set accumulation) and emit flows later.
 Backends with ``accumulates = True`` accept *partial* evidence per submit
 (a packet may gain more events in a later batch) and re-derive the affected
 flows on ``finish``; the others require every submitted group to be
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.core.event_flow import EventFlow
 from repro.core.transition_algorithm import (
@@ -40,24 +40,16 @@ from repro.events.merge import PacketGroup
 from repro.events.packet import PacketKey
 from repro.fsm.templates import FsmTemplate
 
-#: A zero-argument, *module-level* (hence picklable-by-reference) function
-#: returning the FSM template — process workers call it once each.
-TemplateFactory = Callable[[], FsmTemplate]
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
     """Everything a backend needs to reconstruct: model + switches.
 
-    ``template`` is always usable in-process (an :class:`FsmTemplate` or a
-    per-node factory); ``template_factory`` is the picklable spelling that
-    process pools require and is ``None`` when the session was built from a
-    bare template.
+    ``template`` is an :class:`FsmTemplate` or a per-node factory.
     """
 
     template: FsmTemplate | TemplateFor
     options: ReconstructorOptions
-    template_factory: Optional[TemplateFactory] = None
 
 
 class ExecutionBackend(abc.ABC):
@@ -87,7 +79,7 @@ class ExecutionBackend(abc.ABC):
         return ()
 
     def close(self) -> None:
-        """Release resources (worker pools, accumulated state)."""
+        """Release resources (accumulated state)."""
 
     # ------------------------------------------------------------------ #
 

@@ -1,15 +1,14 @@
 """The unified reconstruction session (paper Fig. 1, one spine for every door).
 
 REFILL's per-packet independence means one pipeline serves every workload —
-batch, parallel, and live.  :class:`ReconstructionSession` owns that
-pipeline: stream packet groups out of the merge layer, apply
-:class:`RefillOptions` (including ``strip_times``) in exactly one place,
-delegate execution to a pluggable
-:class:`~repro.core.backends.ExecutionBackend`, diagnose, and record
-metrics.  ``Refill``, ``ParallelRefill``, and ``IncrementalRefill`` are thin
-compatibility shims over a session; ``analysis/pipeline.py`` and the CLI
-construct sessions directly — so preflight, metrics/spans, and options
-semantics are identical no matter which door you enter through.
+batch and live.  :class:`ReconstructionSession` owns that pipeline: stream
+packet groups out of the merge layer, apply :class:`RefillOptions`
+(including ``strip_times``) in exactly one place, delegate execution to a
+pluggable :class:`~repro.core.backends.ExecutionBackend`, diagnose, and
+record metrics.  It is the only reconstruction door: the CLI,
+``analysis/pipeline.py``, the baselines and the serve daemon all construct
+sessions directly — so preflight, metrics/spans, and options semantics are
+identical no matter where reconstruction is driven from.
 
 Two driving modes:
 
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.backends import ExecutionBackend, ExecutionPlan, SerialBackend
-from repro.core.backends.base import TemplateFactory
 from repro.core.diagnosis import LossReport, classify_flow
 from repro.core.event_flow import EventFlow
 from repro.core.transition_algorithm import (
@@ -94,15 +92,10 @@ class ReconstructionSession:
         Defaults to the CTP forwarder.
     options:
         The :class:`RefillOptions`; ``strip_times`` is applied to every
-        event *before* it reaches any backend, so pooled and incremental
-        runs see exactly what a serial run sees.
+        event *before* it reaches any backend, so incremental runs see
+        exactly what a serial run sees.
     backend:
         The execution strategy (default :class:`SerialBackend`).
-    template_factory:
-        Zero-argument *module-level* template builder — required by
-        :class:`~repro.core.backends.ProcessPoolBackend` (it must pickle by
-        reference into workers).  When only the factory is given, the local
-        template is built from it.
     delivery_node:
         Base-station node id for :meth:`diagnose` (``None`` disables
         delivery detection).
@@ -123,7 +116,6 @@ class ReconstructionSession:
         options: RefillOptions = RefillOptions(),
         *,
         backend: Optional[ExecutionBackend] = None,
-        template_factory: Optional[TemplateFactory] = None,
         delivery_node: Optional[int] = None,
         batch_size: int = 256,
         stream: bool = False,
@@ -131,11 +123,8 @@ class ReconstructionSession:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if template is None:
-            if template_factory is None:
-                template_factory = forwarder_template
-            template = template_factory()
+            template = forwarder_template()
         self.template: FsmTemplate | TemplateFor = template
-        self.template_factory = template_factory
         self.options = options
         self.backend = backend if backend is not None else SerialBackend()
         self.delivery_node = delivery_node
@@ -187,8 +176,8 @@ class ReconstructionSession:
     ) -> EventFlow:
         """One packet's flow from its per-node ordered events.
 
-        The single-packet door (``Refill.reconstruct_packet``); applies the
-        same normalization as the batch paths and runs in-process.
+        Applies the same normalization as the batch paths and runs
+        in-process.
         """
         ((_, normalized),) = self._normalize(
             [(packet, {n: list(evs) for n, evs in events_by_node.items()})]
@@ -353,7 +342,6 @@ class ReconstructionSession:
         return ExecutionPlan(
             template=self.template,
             options=self.options.reconstructor_options(),
-            template_factory=self.template_factory,
         )
 
     def _start_backend(self) -> None:
@@ -379,7 +367,7 @@ class ReconstructionSession:
         self, groups: Sequence[tuple[Optional[PacketKey], dict[int, list[Event]]]]
     ) -> list[PacketGroup]:
         """Apply :class:`RefillOptions` event normalization — the ONE place
-        ``strip_times`` happens, before any sharding or accumulation."""
+        ``strip_times`` happens, before any accumulation."""
         if not self.options.strip_times:
             return list(groups)  # type: ignore[arg-type]
         return [

@@ -26,7 +26,6 @@ from repro.fsm.templates import (
     forwarder_template,
     query_templates,
 )
-from repro.fsm.mining import accepts, mine_fsm
 from repro.fsm.validate import validate_role_family, validate_template
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "chain_template",
     "dissemination_templates",
     "query_templates",
-    "mine_fsm",
-    "accepts",
     "validate_template",
     "validate_role_family",
 ]

@@ -10,8 +10,8 @@ constraints, in order:
    interface so instrumented code needs no ``if enabled`` branches; the
    zero-overhead guard in ``benchmarks/bench_measurement.py`` keeps the
    real registry within 5% of the no-op path.
-2. **Mergeable.**  ``core/parallel.py`` workers collect into private
-   registries and the parent folds them back with :meth:`MetricsRegistry.merge`
+2. **Mergeable.**  Work recorded into a private registry (another
+   process, an isolated run) folds back with :meth:`MetricsRegistry.merge`
    — counters add, gauges keep the incoming value, histogram samples
    concatenate and re-compact to the sample cap (count/sum/min/max stay
    exact).
@@ -329,7 +329,7 @@ class MetricsRegistry:
 
     Not thread-safe by design (the pipeline parallelizes across processes,
     not threads); keeping instruments lock-free is what makes them cheap and
-    the registry picklable for the worker-merge protocol.
+    the registry picklable, so it can cross a process boundary and merge.
     """
 
     enabled = True

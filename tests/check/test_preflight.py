@@ -35,7 +35,7 @@ class TestPreflightCheck:
         report = preflight_check(broken_template(), raise_on_error=False)
         assert report is not None and not report.ok
 
-    def test_template_factory_passes_without_analysis(self):
+    def test_per_node_template_passes_without_analysis(self):
         report = preflight_check(lambda node: forwarder_template())
         assert report is None
 

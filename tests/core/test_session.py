@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.backends import IncrementalBackend, SerialBackend, make_backend
-from repro.core.refill import Refill
 from repro.core.session import ReconstructionSession, RefillOptions, SessionResult
 from repro.events.event import Event
 from repro.events.log import NodeLog
@@ -28,13 +27,13 @@ def logs():
 
 
 class TestOneShot:
-    def test_matches_refill_shim(self, logs):
+    def test_matches_single_group_door(self, logs):
         session = ReconstructionSession(forwarder_template(with_gen=False))
         flows = session.reconstruct(logs)
-        legacy = Refill(forwarder_template(with_gen=False)).reconstruct(logs)
-        assert {p: f.labels() for p, f in flows.items()} == {
-            p: f.labels() for p, f in legacy.items()
-        }
+        single = session.reconstruct_group(
+            PKT, {node: list(log) for node, log in logs.items()}
+        )
+        assert flows[PKT].labels() == single.labels()
 
     def test_run_bundles_flows_and_reports(self, logs):
         session = ReconstructionSession(

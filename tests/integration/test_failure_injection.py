@@ -9,7 +9,7 @@ a flow + diagnosis, possibly with anomalies recorded, never an exception.
 import pytest
 
 from repro.core.diagnosis import classify_flow
-from repro.core.refill import Refill
+from repro.core.session import ReconstructionSession
 from repro.events.codec import decode_log
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
@@ -24,53 +24,53 @@ def ev(etype, node, src=None, dst=None):
 
 
 @pytest.fixture()
-def refill():
-    return Refill(forwarder_template(with_gen=False))
+def session():
+    return ReconstructionSession(forwarder_template(with_gen=False))
 
 
-def run(refill, logs):
-    flows = refill.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
+def run(session, logs):
+    flows = session.reconstruct({n: NodeLog(n, evs) for n, evs in logs.items()})
     for flow in flows.values():
         classify_flow(flow, delivery_node=999)
     return flows
 
 
 class TestDuplicatedRecords:
-    def test_duplicated_log_chunk(self, refill):
+    def test_duplicated_log_chunk(self, session):
         # a retransmitted collection chunk duplicates three records
         base = [ev("trans", 1, 1, 2), ev("ack_recvd", 1, 1, 2)]
-        flows = run(refill, {1: base + base})
+        flows = run(session, {1: base + base})
         flow = flows[PKT]
         # conservation still holds: every input event accounted for
         assert len(flow.real_events()) + len(flow.omitted) == 4
 
-    def test_same_event_repeated_many_times(self, refill):
-        flows = run(refill, {1: [ev("trans", 1, 1, 2)] * 10})
+    def test_same_event_repeated_many_times(self, session):
+        flows = run(session, {1: [ev("trans", 1, 1, 2)] * 10})
         assert len(flows[PKT].real_events()) + len(flows[PKT].omitted) == 10
 
 
 class TestForeignAndMalformed:
-    def test_event_referencing_unknown_nodes(self, refill):
-        flows = run(refill, {
+    def test_event_referencing_unknown_nodes(self, session):
+        flows = run(session, {
             3: [ev("recv", 3, 777, 3)],  # claimed sender 777 logged nothing
         })
         flow = flows[PKT]
         # the prerequisite drive creates an engine for 777 and infers
         assert 777 in flow.final_states
 
-    def test_recv_with_self_as_sender(self, refill):
-        flows = run(refill, {2: [ev("recv", 2, 2, 2)]})
+    def test_recv_with_self_as_sender(self, session):
+        flows = run(session, {2: [ev("recv", 2, 2, 2)]})
         flow = flows[PKT]
         assert any("self-referential" in a for a in flow.anomalies)
 
-    def test_pairless_pair_event(self, refill):
+    def test_pairless_pair_event(self, session):
         # a recv whose src field was corrupted away
-        flows = run(refill, {2: [Event.make("recv", 2, dst=2, packet=PKT)]})
+        flows = run(session, {2: [Event.make("recv", 2, dst=2, packet=PKT)]})
         flow = flows[PKT]
         assert any("unresolvable" in a for a in flow.anomalies)
 
-    def test_unknown_event_types_mixed_in(self, refill):
-        flows = run(refill, {
+    def test_unknown_event_types_mixed_in(self, session):
+        flows = run(session, {
             1: [ev("trans", 1, 1, 2), ev("corrupted_blob", 1), ev("ack_recvd", 1, 1, 2)],
         })
         flow = flows[PKT]
@@ -80,15 +80,15 @@ class TestForeignAndMalformed:
 
 
 class TestAdversarialOrderings:
-    def test_fully_reversed_log(self, refill):
+    def test_fully_reversed_log(self, session):
         events = [ev("trans", 1, 1, 2), ev("ack_recvd", 1, 1, 2),
                   ev("trans", 1, 1, 2), ev("ack_recvd", 1, 1, 2)]
-        flows = run(refill, {1: list(reversed(events))})
+        flows = run(session, {1: list(reversed(events))})
         flow = flows[PKT]
         # still terminates with everything accounted for
         assert len(flow.real_events()) + len(flow.omitted) == 4
 
-    def test_interleaved_unrelated_packets(self, refill):
+    def test_interleaved_unrelated_packets(self, session):
         other = PacketKey(5, 9)
         logs = {
             1: [
@@ -98,18 +98,18 @@ class TestAdversarialOrderings:
                 Event.make("ack_recvd", 1, src=1, dst=2, packet=other),
             ],
         }
-        flows = run(refill, logs)
+        flows = run(session, logs)
         assert set(flows) == {PKT, other}
         for flow in flows.values():
             assert len(flow.real_events()) == 2
 
-    def test_two_hundred_packet_stress(self, refill):
+    def test_two_hundred_packet_stress(self, session):
         logs = {1: [], 2: []}
         packets = [PacketKey(1, i) for i in range(200)]
         for p in packets:
             logs[1].append(Event.make("trans", 1, src=1, dst=2, packet=p))
             logs[2].append(Event.make("recv", 2, src=1, dst=2, packet=p))
-        flows = run(refill, logs)
+        flows = run(session, logs)
         assert len(flows) == 200
 
 

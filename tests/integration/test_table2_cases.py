@@ -8,7 +8,7 @@ recover the correct ordering from individual, unsynchronized logs.
 import pytest
 
 from repro.core.diagnosis import LossCause, classify_flow
-from repro.core.refill import Refill, RefillOptions
+from repro.core.session import ReconstructionSession, RefillOptions
 from repro.events.event import Event, EventType
 from repro.events.log import NodeLog
 from repro.events.packet import PacketKey
@@ -34,25 +34,25 @@ def recv(a, b):
 
 
 @pytest.fixture()
-def refill():
+def session():
     # Table II has no generation events: origin starts with the packet.
-    return Refill(forwarder_template(with_gen=False))
+    return ReconstructionSession(forwarder_template(with_gen=False))
 
 
-def flow_for(refill, logs):
-    flows = refill.reconstruct(logs)
+def flow_for(session, logs):
+    flows = session.reconstruct(logs)
     assert set(flows) == {PKT}
     return flows[PKT]
 
 
 class TestCompleteLog:
-    def test_complete_log_reconstructs_with_no_inference(self, refill):
+    def test_complete_log_reconstructs_with_no_inference(self, session):
         logs = {
             1: NodeLog(1, [trans(1, 2), ack(1, 2)]),
             2: NodeLog(2, [recv(1, 2), trans(2, 3), ack(2, 3)]),
             3: NodeLog(3, [recv(2, 3)]),
         }
-        flow = flow_for(refill, logs)
+        flow = flow_for(session, logs)
         assert flow.inferred_events() == []
         assert flow.omitted == []
         assert flow.labels() == [
@@ -68,12 +68,12 @@ class TestCompleteLog:
 class TestCase1:
     """Node 2's whole log is lost; only `1-2 trans` and `2-3 recv` survive."""
 
-    def test_flow_matches_paper(self, refill):
+    def test_flow_matches_paper(self, session):
         logs = {
             1: NodeLog(1, [trans(1, 2)]),
             3: NodeLog(3, [recv(2, 3)]),
         }
-        flow = flow_for(refill, logs)
+        flow = flow_for(session, logs)
         assert flow.labels() == [
             "1-2 trans",
             "[1-2 recv]",
@@ -81,11 +81,11 @@ class TestCase1:
             "2-3 recv",
         ]
 
-    def test_packet_not_considered_lost_on_node_1(self, refill):
+    def test_packet_not_considered_lost_on_node_1(self, session):
         # Traditional trans-without-ack analysis would blame node 1; REFILL
         # proves the packet reached node 3.
         logs = {1: NodeLog(1, [trans(1, 2)]), 3: NodeLog(3, [recv(2, 3)])}
-        flow = flow_for(refill, logs)
+        flow = flow_for(session, logs)
         report = classify_flow(flow)
         assert report.cause is LossCause.RECEIVED_LOSS
         assert report.position == 3
@@ -94,14 +94,14 @@ class TestCase1:
 class TestCase2:
     """`1-2 trans, 1-2 ack recvd` on node 1; receiver's log lost."""
 
-    def test_flow_matches_paper(self, refill):
+    def test_flow_matches_paper(self, session):
         logs = {1: NodeLog(1, [trans(1, 2), ack(1, 2)])}
-        flow = flow_for(refill, logs)
+        flow = flow_for(session, logs)
         assert flow.labels() == ["1-2 trans", "[1-2 recv]", "1-2 ack recvd"]
 
-    def test_diagnosis_packet_lost_after_reaching_node_2(self, refill):
+    def test_diagnosis_packet_lost_after_reaching_node_2(self, session):
         logs = {1: NodeLog(1, [trans(1, 2), ack(1, 2)])}
-        report = classify_flow(flow_for(refill, logs))
+        report = classify_flow(flow_for(session, logs))
         assert report.cause is LossCause.ACKED_LOSS
         assert report.position == 2
 
@@ -109,9 +109,9 @@ class TestCase2:
 class TestCase3:
     """Ack precedes trans on node 1: a retransmission episode was lost."""
 
-    def test_flow_matches_paper(self, refill):
+    def test_flow_matches_paper(self, session):
         logs = {1: NodeLog(1, [ack(1, 2), trans(1, 2)])}
-        flow = flow_for(refill, logs)
+        flow = flow_for(session, logs)
         assert flow.labels() == [
             "[1-2 trans]",
             "[1-2 recv]",
@@ -119,11 +119,11 @@ class TestCase3:
             "1-2 trans",
         ]
 
-    def test_trans_ack_pair_does_not_mean_delivery(self, refill):
+    def test_trans_ack_pair_does_not_mean_delivery(self, session):
         # The pair exists, but ordering shows the packet is in flight again
         # after the ack: diagnosis must NOT report an acked delivery.
         logs = {1: NodeLog(1, [ack(1, 2), trans(1, 2)])}
-        report = classify_flow(flow_for(refill, logs))
+        report = classify_flow(flow_for(session, logs))
         assert report.cause is LossCause.UNKNOWN  # lost while 1 -> 2 in flight
         assert report.position == 1
 
@@ -151,19 +151,19 @@ class TestCase4:
     def make_logs(self):
         return {n: NodeLog(n, evs) for n, evs in self.LOGS.items()}
 
-    def test_flow_contains_paper_multiset(self, refill):
-        flow = flow_for(refill, self.make_logs())
+    def test_flow_contains_paper_multiset(self, session):
+        flow = flow_for(session, self.make_logs())
         assert sorted(flow.labels()) == self.expected_multiset()
         assert flow.omitted == []
 
-    def test_second_recv_is_inferred(self, refill):
-        flow = flow_for(refill, self.make_logs())
+    def test_second_recv_is_inferred(self, session):
+        flow = flow_for(session, self.make_logs())
         inferred = flow.inferred_events()
         assert len(inferred) == 1
         assert inferred[0].etype == "recv" and inferred[0].node == 2
 
-    def test_key_orderings_match_paper(self, refill):
-        flow = flow_for(refill, self.make_logs())
+    def test_key_orderings_match_paper(self, session):
+        flow = flow_for(session, self.make_logs())
         labels = flow.labels()
         # first episode starts exactly as in the paper
         assert labels[:3] == ["1-2 trans", "1-2 recv", "1-2 ack recvd"]
@@ -182,9 +182,9 @@ class TestCase4:
         assert flow.happens_before(inferred_recv, second_ack)
         assert flow.happens_before(inferred_recv, final_trans)
 
-    def test_diagnosis_loss_on_2_to_3_link(self, refill):
+    def test_diagnosis_loss_on_2_to_3_link(self, session):
         # "the packet is lost when node 2 is transmitting to node 3"
-        flow = flow_for(refill, self.make_logs())
+        flow = flow_for(session, self.make_logs())
         report = classify_flow(flow)
         assert report.cause is LossCause.UNKNOWN
         assert report.position == 2

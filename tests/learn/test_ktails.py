@@ -91,11 +91,3 @@ class TestReplayStates:
     def test_empty_trace_is_trivially_replayable(self):
         graph = mine_fsm([["a"]], k=1)
         assert replay_states(graph, []) == [graph.initial]
-
-
-class TestMiningShim:
-    def test_fsm_mining_reexports_the_same_functions(self):
-        from repro.fsm import mining
-
-        assert mining.mine_fsm is mine_fsm
-        assert mining.accepts is accepts

@@ -187,3 +187,15 @@ class TestCommittedTrajectory:
             assert entry["bench"] == "serve"
             assert entry["note"]
             assert {"recorded_at", "deltas", "regressions"} <= set(entry)
+
+    def test_committed_backends_baseline_gates_every_metric(self):
+        """The batch path is gated: every ``backends`` metric resolves in
+        both committed snapshots and the pair diffs green."""
+        baseline = REPO / "benchmarks" / "baselines" / "BENCH_backends.json"
+        current = REPO / "BENCH_backends.json"
+        deltas = diff_snapshots(
+            load_snapshot(baseline), load_snapshot(current), "backends"
+        )
+        assert all(delta.ratio is not None for delta in deltas)
+        assert not any(delta.regressed for delta in deltas)
+        assert (REPO / "benchmarks" / "history" / "backends.jsonl").read_text()

@@ -35,11 +35,19 @@ class TestSimulate:
 
 
 class TestAnalyze:
-    def test_analyze_prints_breakdown(self, log_dir, capsys):
-        assert main(["analyze", "--logs", str(log_dir)]) == 0
+    def test_analyze_prints_breakdown(self, log_dir, tmp_path, capsys):
+        default_flows = tmp_path / "default.json"
+        assert main(["analyze", "--logs", str(log_dir),
+                     "--flows-out", str(default_flows)]) == 0
         out = capsys.readouterr().out
         assert "Loss cause shares" in out
         assert "received_sink" in out
+        # the default model and an explicit `--spec ctp` are one template
+        ctp_flows = tmp_path / "ctp.json"
+        assert main(["analyze", "--logs", str(log_dir), "--spec", "ctp",
+                     "--flows-out", str(ctp_flows)]) == 0
+        assert capsys.readouterr().out == out
+        assert ctp_flows.read_bytes() == default_flows.read_bytes()
 
     def test_metrics_out_has_required_counters(self, log_dir, tmp_path):
         metrics = tmp_path / "metrics.json"
@@ -147,6 +155,24 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.nodes == 100 and args.days == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--batch-size", "0"],
+        ["analyze", "--batch-size", "many"],
+        ["analyze", "--backend", "process"],
+        ["analyze", "--workers", "2"],
+        ["serve", "--batch-size", "0"],
+        ["serve", "--queue-batches", "0"],
+        ["serve", "--batch-lines", "-1"],
+        ["serve", "--shards", "0"],
+        ["serve", "--trace-capacity", "0"],
+        ["push", "--workers", "0"],
+    ])
+    def test_bad_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestVersion:
