@@ -10,12 +10,7 @@ constraints, in order:
    interface so instrumented code needs no ``if enabled`` branches; the
    zero-overhead guard in ``benchmarks/bench_measurement.py`` keeps the
    real registry within 5% of the no-op path.
-2. **Mergeable.**  Work recorded into a private registry (another
-   process, an isolated run) folds back with :meth:`MetricsRegistry.merge`
-   — counters add, gauges keep the incoming value, histogram samples
-   concatenate and re-compact to the sample cap (count/sum/min/max stay
-   exact).
-3. **Deterministic snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
+2. **Deterministic snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
    :class:`MetricsSnapshot` whose JSON form has sorted keys and a stable
    ``name{label=value,...}`` flat-key scheme, so two runs over the same
    store diff cleanly.
@@ -201,27 +196,6 @@ class Histogram:
         rank = max(1, math.ceil(q * len(ordered)))
         return ordered[rank - 1]
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold ``other``'s aggregates and retained samples into this one.
-
-        Samples concatenate and re-compact down to the cap; after a merge the
-        buffer is a systematic subsample of the concatenation (index
-        alignment to a single stream no longer holds, so retention simply
-        resumes from the combined count).
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        self._samples.extend(other._samples)
-        self._stride = max(self._stride, other._stride)
-        while len(self._samples) >= HISTOGRAM_SAMPLE_CAP:
-            self._samples = self._samples[::2]
-            self._stride *= 2
-        self._next_index = self.count
-
     def summary(self) -> HistogramSummary:
         return HistogramSummary(
             count=self.count,
@@ -328,8 +302,8 @@ class MetricsRegistry:
     """Creates and memoizes instruments; the mutable metrics store.
 
     Not thread-safe by design (the pipeline parallelizes across processes,
-    not threads); keeping instruments lock-free is what makes them cheap and
-    the registry picklable, so it can cross a process boundary and merge.
+    not threads); keeping instruments lock-free is what makes them cheap.
+    Processes combine through snapshots (:func:`merge_shard_snapshots`).
     """
 
     enabled = True
@@ -371,15 +345,6 @@ class MetricsRegistry:
 
     def counters(self) -> Iterator[Counter]:
         return iter(self._counters.values())
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (worker -> parent)."""
-        for (name, key), counter in other._counters.items():
-            self.counter(name, **dict(key)).inc(counter.value)
-        for (name, key), gauge in other._gauges.items():
-            self.gauge(name, **dict(key)).set(gauge.value)
-        for (name, key), histogram in other._histograms.items():
-            self.histogram(name, **dict(key)).merge_from(histogram)
 
     def clear(self) -> None:
         self._counters.clear()
@@ -451,9 +416,6 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name: str, **labels: object) -> Histogram:
         return self._null_histogram
-
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
 
 
 @contextmanager

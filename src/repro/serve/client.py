@@ -82,6 +82,9 @@ class LineSender:
             sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            # BYE is a small write after the data: under Nagle it waits for
+            # the server's delayed ACK (~40 ms per connection on loopback)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._rfile = sock.makefile("rb")
         return self

@@ -60,9 +60,10 @@ class IngestItem:
     #: ``time.perf_counter()`` at enqueue; the consumer's dequeue observes
     #: the difference as ``serve.queue.wait.seconds``.
     enqueued_at: float = 0.0
-    #: True on the last batch of a closing connection: the source is done
-    #: sending, so the consumer may refresh immediately once the queue is
-    #: drained instead of waiting out a ``flush_interval`` idle gap.
+    #: Refresh requested by a readiness probe: an empty marker the probe
+    #: enqueues when the daemon is drained but flows are stale, so the
+    #: consumer refreshes now instead of waiting out a ``flush_interval``
+    #: idle gap.  Readers never set it — a closing source only enqueues.
     flush: bool = False
 
 
@@ -267,8 +268,9 @@ class IngestHub:
                     first_line = False
                     if word == protocol.BYE:
                         settle()
-                        await self._enqueue(source, node_bind, pending, flush=True)
-                        pending = []
+                        if pending:
+                            await self._enqueue(source, node_bind, pending)
+                            pending = []
                         writer.write(
                             (protocol.format_ok(accepted=accepted) + "\n").encode()
                         )
@@ -298,7 +300,7 @@ class IngestHub:
             if source is not None:
                 self._active_sources.discard(source)
             if pending:
-                await self._enqueue(source, node_bind, pending, flush=True)
+                await self._enqueue(source, node_bind, pending)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -306,11 +308,7 @@ class IngestHub:
                 pass
 
     async def _enqueue(
-        self,
-        source: Optional[str],
-        node_bind: Optional[int],
-        lines: list[str],
-        flush: bool = False,
+        self, source: Optional[str], node_bind: Optional[int], lines: list[str]
     ) -> None:
         item = IngestItem(
             source,
@@ -318,7 +316,6 @@ class IngestHub:
             list(lines),
             trace_id=current_trace_id(),
             enqueued_at=time.perf_counter(),
-            flush=flush,
         )
         # the span times backpressure: a full queue parks this reader here
         with traced("serve.enqueue"):

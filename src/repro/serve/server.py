@@ -7,7 +7,7 @@
   line batches on a bounded queue;
 - a single **consumer** task decodes batches with the shared tolerant
   scanner, feeds the worker's session, refreshes dirty flows after an idle
-  gap, and writes periodic checkpoints;
+  gap or when the readiness probe asks, and writes periodic checkpoints;
 - the **query API** (:mod:`repro.serve.http`) answers from the same session
   (auto-refreshing, so a query never sees stale flows).
 
@@ -186,7 +186,22 @@ class RefillServer:
     # are local and immediate)
 
     async def api_readiness(self) -> tuple[bool, dict[str, Any]]:
-        return self.readiness()
+        """The readiness probe, which also *requests* the pending refresh.
+
+        Drained but stale (no lag, nothing queued, dirty packets left):
+        enqueue one empty flush marker so the consumer refreshes now, and
+        answer 503; the next poll sees fresh flows.  The refresh stays in
+        the consumer — a push of per-node sources thus reconstructs each
+        packet once, when a reader asks, not once per closing source.
+        """
+        ready, detail = self.readiness()
+        if (
+            detail["pending_packets"]
+            and not detail["lag_lines"]
+            and not detail["queued_batches"]
+        ):
+            self.hub.queue.put_nowait(IngestItem(None, None, [], flush=True))
+        return ready, detail
 
     async def api_packets_body(self) -> str:
         return dumps_canonical(
@@ -266,9 +281,10 @@ class RefillServer:
     async def _consume(self) -> None:
         """Single writer of session state: dequeue, decode, ingest.
 
-        On an idle gap (``flush_interval`` with nothing queued) dirty flows
-        are refreshed so queries and the readiness probe see fresh results;
-        periodic checkpoints piggyback on the same cadence.
+        Dirty flows are refreshed on an idle gap (``flush_interval`` with
+        nothing queued) and when a readiness probe's flush marker reaches
+        a drained queue; queries auto-refresh on their own.  Periodic
+        checkpoints piggyback on the same cadence.
         """
         interval = self.config.checkpoint_interval
         next_checkpoint = time.monotonic() + interval if interval > 0 else None
@@ -294,8 +310,8 @@ class RefillServer:
                     and self.hub.queue.empty()
                     and self.session.pending
                 ):
-                    # last batch of a closed connection and nothing else
-                    # queued: refresh now instead of waiting out an idle gap
+                    # a readiness probe asked and nothing else is queued:
+                    # refresh now instead of waiting out an idle gap
                     with traced("serve.refresh", pending=self.session.pending):
                         self.session.refresh()
                 self._update_gauges()

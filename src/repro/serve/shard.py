@@ -193,6 +193,11 @@ class ShardWorker:
     # ingest (called only from the owning server's consumer/shutdown path)
 
     def ingest_item(self, item: IngestItem) -> None:
+        n = len(item.lines)
+        if not n:
+            # a readiness probe's refresh marker carries no lines: it must
+            # not touch the book or dirty the checkpoint
+            return
         registry = get_registry()
         if item.enqueued_at and registry.enabled:
             wait = time.perf_counter() - item.enqueued_at
@@ -207,11 +212,6 @@ class ShardWorker:
             if events_by_node:
                 with traced("serve.ingest.batch"):
                     self.session.ingest(events_by_node)
-        n = len(item.lines)
-        if not n:
-            # an empty flush marker (connection closed with nothing pending)
-            # must not touch the book or dirty the checkpoint
-            return
         source = item.source if item.source is not None else ANONYMOUS_SOURCE
         self.book.lines_ingested += n
         if item.source is not None:

@@ -105,39 +105,7 @@ class TestHistogramQuantiles:
         assert a.summary() == b.summary()
 
 
-class TestMerge:
-    def test_counters_add_and_histograms_concatenate(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        b.counter("c").inc(3)
-        b.counter("only_b", node=7).inc(1)
-        a.histogram("h").observe(1.0)
-        b.histogram("h").observe(9.0)
-        b.gauge("g").set(5.0)
-        a.merge(b)
-        assert a.counter("c").value == 5
-        assert a.counter("only_b", node=7).value == 1
-        h = a.histogram("h")
-        assert h.count == 2 and h.min == 1.0 and h.max == 9.0
-        assert a.gauge("g").value == 5.0
-
-    def test_merge_is_associative_over_counters(self):
-        parts = []
-        for inc in (1, 2, 3):
-            reg = MetricsRegistry()
-            reg.counter("c").inc(inc)
-            parts.append(reg)
-        left = MetricsRegistry()
-        for p in parts:
-            left.merge(p)
-        right = MetricsRegistry()
-        tail = MetricsRegistry()
-        tail.merge(parts[1])
-        tail.merge(parts[2])
-        right.merge(parts[0])
-        right.merge(tail)
-        assert left.counter("c").value == right.counter("c").value == 6
-
+class TestPickle:
     def test_registry_pickles_for_worker_transport(self):
         reg = MetricsRegistry()
         reg.counter("c", node=3).inc(4)
@@ -189,13 +157,6 @@ class TestNullRegistry:
         snap = reg.snapshot()
         assert snap.counters == {} and snap.gauges == {} and snap.histograms == {}
         assert not reg.enabled
-
-    def test_merge_is_noop(self):
-        reg = NullRegistry()
-        other = MetricsRegistry()
-        other.counter("c").inc(9)
-        reg.merge(other)
-        assert reg.snapshot().counters == {}
 
 
 class TestActiveRegistry:
