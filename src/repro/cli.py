@@ -793,7 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--flush-interval", type=float, default=0.5, metavar="SECS",
-        help="idle gap after which dirty flows are refreshed",
+        help="consumer idle gap after which dirty flows are refreshed"
+        " (ingest readers never wait on it)",
     )
     p_srv.add_argument(
         "--batch-size", type=_positive_int, default=256, metavar="K",

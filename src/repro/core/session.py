@@ -255,6 +255,11 @@ class ReconstructionSession:
             self.refresh()
         return self._flows.get(packet)
 
+    def report(self, packet: PacketKey) -> Optional[LossReport]:
+        if packet in self._dirty_set():
+            self.refresh()
+        return self._reports.get(packet)
+
     def flows(self) -> dict[PacketKey, EventFlow]:
         if self._dirty_set():
             self.refresh()

@@ -45,8 +45,9 @@ class ServeConfig:
         Seconds between periodic checkpoints (``0`` disables the timer;
         shutdown still checkpoints).
     flush_interval:
-        Idle time after which pending dirty packets are refreshed (and the
-        readiness probe can report "caught up").
+        Idle time with nothing queued after which the consumer refreshes
+        pending dirty packets.  Readers never wait on it: each framed
+        chunk is queued as soon as it is read.
     ingest_queue_batches / ingest_batch_lines:
         The bounded ingest queue: at most ``ingest_queue_batches`` batches
         of at most ``ingest_batch_lines`` lines are in flight.  A full

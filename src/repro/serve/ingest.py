@@ -3,9 +3,13 @@
 Readers (one task per connection, one per tailed file) frame bytes into
 complete lines with :class:`~repro.events.codec.LineAssembler` and enqueue
 them as :class:`IngestItem` batches on a *bounded* :class:`asyncio.Queue`.
-A full queue blocks the reader coroutine, which stops draining its socket —
-kernel buffers fill, the TCP window closes, and the producer is throttled
-instead of the daemon buffering unboundedly.  The single consumer (in
+A connection reader ships every framed chunk at once (split at
+``ingest_batch_lines``): it never holds complete lines waiting for more,
+so a link that stays open — a router's shard link, a node that keeps its
+socket — delivers each round as soon as it lands.  A full queue blocks the
+reader coroutine, which stops draining its socket — kernel buffers fill,
+the TCP window closes, and the producer is throttled instead of the daemon
+buffering unboundedly.  The single consumer (in
 :mod:`repro.serve.server`) decodes batches with the shared tolerant scanner
 and feeds the reconstruction session; decode work deliberately stays out of
 the readers so backpressure reflects *reconstruction* capacity, not parse
@@ -183,33 +187,27 @@ class IngestHub:
         node_bind: Optional[int] = None
         accepted = 0
         first_line = True
+        #: Framed data lines not yet shipped; empty at every await, so
+        #: concurrently-running coroutines (metrics, lag gauges, HELLO
+        #: offsets) observe exactly the per-line ``book.received`` counts.
         pending: list[str] = []
-        batch_limit = self.config.ingest_batch_lines
-        #: Data lines not yet folded into ``book.received`` — settled before
-        #: every await so concurrently-running coroutines (metrics, lag
-        #: gauges, HELLO offsets) observe exactly the per-line counts.
-        recv_pending = 0
 
-        def settle() -> None:
-            nonlocal recv_pending
-            if recv_pending:
+        async def ship() -> None:
+            """Count ``pending`` as received, then queue it.  A cancelled
+            put (shutdown) drops the rest: the checkpoint records only
+            *ingested* offsets, so a reconnecting client resends them."""
+            nonlocal pending
+            if pending:
                 if source is not None:
                     self.book.received[source] = (
-                        self.book.received.get(source, 0) + recv_pending
+                        self.book.received.get(source, 0) + len(pending)
                     )
-                recv_pending = 0
+                batch, pending = pending, []
+                await self._enqueue(source, node_bind, batch)
 
         try:
             while True:
-                try:
-                    async with timeout(self.config.flush_interval):
-                        chunk = await reader.read(65536)
-                except TimeoutError:
-                    # slow producer: ship what we have instead of sitting on it
-                    if pending:
-                        await self._enqueue(source, node_bind, pending)
-                        pending = []
-                    continue
+                chunk = await reader.read(65536)
                 if not chunk:
                     break  # disconnect; partial tail (if any) is discarded
                 with traced("serve.frame"):
@@ -267,10 +265,7 @@ class IngestHub:
                         continue
                     first_line = False
                     if word == protocol.BYE:
-                        settle()
-                        if pending:
-                            await self._enqueue(source, node_bind, pending)
-                            pending = []
+                        await ship()
                         writer.write(
                             (protocol.format_ok(accepted=accepted) + "\n").encode()
                         )
@@ -278,29 +273,17 @@ class IngestHub:
                         return
                     pending.append(line)
                     accepted += 1
-                    recv_pending += 1
-                    if len(pending) >= batch_limit:
-                        settle()
-                        await self._enqueue(source, node_bind, pending)
-                        pending = []
-                settle()
-        except asyncio.CancelledError:
-            # server shutdown: drop the un-enqueued tail instead of blocking
-            # on the queue — the checkpoint records only *ingested* offsets,
-            # so a reconnecting client is told to resend exactly these lines
-            settle()
-            pending = []
-            raise
+                # ship the whole chunk now: a link that stays open may send
+                # nothing more for a while, and these lines are complete
+                await ship()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # mid-stream disconnects are normal operation
         except Exception as exc:  # noqa: BLE001 - isolate hostile peers
             _log.warning("ingest.connection-error", error=str(exc))
         finally:
-            settle()
             if source is not None:
                 self._active_sources.discard(source)
-            if pending:
-                await self._enqueue(source, node_bind, pending)
+            await ship()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -310,16 +293,19 @@ class IngestHub:
     async def _enqueue(
         self, source: Optional[str], node_bind: Optional[int], lines: list[str]
     ) -> None:
-        item = IngestItem(
-            source,
-            node_bind,
-            list(lines),
-            trace_id=current_trace_id(),
-            enqueued_at=time.perf_counter(),
-        )
-        # the span times backpressure: a full queue parks this reader here
-        with traced("serve.enqueue"):
-            await self.queue.put(item)
+        """Queue ``lines`` as batches of at most ``ingest_batch_lines``."""
+        limit = self.config.ingest_batch_lines
+        for start in range(0, len(lines), limit):
+            item = IngestItem(
+                source,
+                node_bind,
+                lines[start : start + limit],
+                trace_id=current_trace_id(),
+                enqueued_at=time.perf_counter(),
+            )
+            # the span times backpressure: a full queue parks this reader here
+            with traced("serve.enqueue"):
+                await self.queue.put(item)
 
     # ------------------------------------------------------------------ #
     # file tailing
@@ -352,12 +338,7 @@ class IngestHub:
                 self.book.received[source] = offset + len(lines)
                 # refill: no-cc010 -- once per poll interval when new lines landed, not per line
                 self.book.last_seen[source] = time.time()
-                for start in range(0, len(lines), self.config.ingest_batch_lines):
-                    await self._enqueue(
-                        source,
-                        node_bind,
-                        lines[start : start + self.config.ingest_batch_lines],
-                    )
+                await self._enqueue(source, node_bind, lines)
             try:
                 async with timeout(self.config.tail_interval):
                     await stop.wait()

@@ -88,6 +88,9 @@ SHARD_START_TIMEOUT = 60.0
 #: Per-request deadline for router → shard query fan-out.
 _SHARD_HTTP_TIMEOUT = 30.0
 
+#: A shard's ``/readyz`` detail while the router is not yet asking for it.
+_UNASKED_SHARD = {"lag_lines": 0, "pending_packets": 0, "queued_batches": 0}
+
 #: How long a checkpoint barrier may wait for routed lines to settle.
 BARRIER_TIMEOUT = 60.0
 
@@ -371,18 +374,24 @@ class ClusterServer:
         """Ready iff the router is drained, every shard is ready, and every
         routed line is accounted inside a shard session (the conservation
         check covers lines in flight in loopback socket buffers, which
-        neither side's queue gauges can see)."""
+        neither side's queue gauges can see).
+
+        A shard's ``/readyz`` requests its refresh, so shards are asked only
+        once the router is drained and settled; asked earlier, a shard that
+        momentarily caught up would refresh packets whose evidence is still
+        being forwarded and reconstruct them again when it lands."""
         lag = self.book.lag_lines()
         queued = self.hub.queue.qsize()
-        shard_states = [
-            (status, json.loads(body))
-            for status, body in await self._fanout("GET", "/readyz")
-        ]
         totals = await self._fanout_json("/offsets")
         ingested = sum(t["lines_ingested"] for t in totals)
         settled = ingested == self.book.lines_ingested
-        shards_ready = all(status == 200 for status, _ in shard_states)
-        ready = lag == 0 and queued == 0 and shards_ready and settled
+        shard_states = [(503, _UNASKED_SHARD)] * self.shards
+        if lag == 0 and queued == 0 and settled:
+            shard_states = [
+                (status, json.loads(body))
+                for status, body in await self._fanout("GET", "/readyz")
+            ]
+        ready = all(status == 200 for status, _ in shard_states)
         detail = {
             "ready": ready,
             "lag_lines": lag

@@ -220,7 +220,7 @@ class RefillServer:
             if flow is None:
                 return 404, dumps_canonical({"error": f"unknown packet {packet}"})
             return 200, dumps_canonical(flow_to_dict(flow))
-        report = self.session.reports().get(packet)
+        report = self.session.report(packet)
         if report is None:
             return 404, dumps_canonical({"error": f"unknown packet {packet}"})
         return 200, dumps_canonical(report_to_dict(report))

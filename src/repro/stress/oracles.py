@@ -38,7 +38,7 @@ from repro.analysis.accuracy import cause_accuracy, event_recovery
 from repro.check.findings import Finding, error, register_rules
 from repro.core.backends import make_backend
 from repro.core.diagnosis import LossReport
-from repro.core.serialize import flow_to_dict
+from repro.core.serialize import dumps_canonical, flow_to_dict
 from repro.core.session import ReconstructionSession
 from repro.events.event import Event
 from repro.events.log import NodeLog
@@ -113,9 +113,7 @@ class CaseOutcome:
 
 def flow_fingerprints(flows) -> dict[str, str]:
     """Canonical JSON per packet — byte-identical iff the flows are."""
-    return {
-        str(p): json.dumps(flow_to_dict(f), sort_keys=True) for p, f in flows.items()
-    }
+    return {str(p): dumps_canonical(flow_to_dict(f)) for p, f in flows.items()}
 
 
 def report_fingerprints(reports: Mapping[PacketKey, LossReport]) -> dict[str, str]:

@@ -133,6 +133,23 @@ class TestStreamingIngest:
         assert not session.reports()[PKT].lost
         assert session.packets() == [PKT]
 
+    def test_report_refreshes_a_dirty_packet_and_matches_reports(self):
+        session = ReconstructionSession(
+            forwarder_template(with_gen=False),
+            backend=IncrementalBackend(),
+            delivery_node=99,
+        )
+        assert session.report(PKT) is None
+        session.ingest({1: [ev("trans", 1, 1, 99)]})
+        assert session.report(PKT).lost  # dirty: refreshed first
+        assert session.pending == 0
+        session.ingest({99: [ev("recv", 99, 1, 99)]})
+        assert session.pending == 1
+        report = session.report(PKT)
+        assert session.pending == 0
+        assert not report.lost
+        assert report == session.reports()[PKT]
+
     def test_stream_mode_matches_full_grouping(self, logs):
         full = ReconstructionSession(forwarder_template(with_gen=False)).reconstruct(
             logs
